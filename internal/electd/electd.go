@@ -227,7 +227,9 @@ var emptyTail = []byte{0}
 // instead — an explicit shed the client surfaces as a BusyError, never
 // silent loss. Requests for instances that already exist always proceed
 // (in-flight elections are allowed to finish), and collects never create
-// state, so they are never shed.
+// state, so they are never shed. The one exception is a propagate with an
+// entry owner at or above MaxOwners: it gets the same busy reply whether
+// or not its instance exists, and merges nothing.
 //
 // Steady state is lock-free end to end: requests find their instance with
 // one atomic load of the shard's published map, merges CAS the register
@@ -253,14 +255,15 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 			lookT0 = trace.Now()
 		}
 		st := sh.instances()[m.Election]
-		if st == nil {
+		inRange := ownersInRange(m.Entries)
+		if st == nil && inRange {
 			st = s.admit(sh, m.Election)
-			if st == nil {
-				s.shed.Add(1)
-				sh.served.Add(1)
-				s.reply(c, wire.KindBusy, m, nil)
-				return
-			}
+		}
+		if st == nil || !inRange {
+			s.shed.Add(1)
+			sh.served.Add(1)
+			s.reply(c, wire.KindBusy, m, nil)
+			return
 		}
 		if rec != nil {
 			mergeT0 = trace.Now()
@@ -306,6 +309,18 @@ func (s *Server) Handle(c transport.Conn, m *wire.Msg) {
 	default:
 		// Replies arriving at a server are protocol noise; ignore.
 	}
+}
+
+// ownersInRange reports whether every entry owner indexes a cell
+// directory: a propagate carrying an owner at or above MaxOwners is
+// refused with a busy reply instead of sizing a directory by it.
+func ownersInRange(entries []rt.Entry) bool {
+	for _, e := range entries {
+		if e.Owner >= MaxOwners {
+			return false
+		}
+	}
+	return true
 }
 
 // admit resolves a propagate for an election instance the published map

@@ -1,7 +1,6 @@
 package electd
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/rt"
@@ -18,8 +17,9 @@ import (
 //   - store.regs is an atomically published immutable directory
 //     (register name → *regArray). Adding a register — once per register
 //     name per instance — copies the directory and CASes the pointer.
-//   - regArray.cells is the same one level down (owner → *cellSlot);
-//     adding a slot happens once per owner per register.
+//   - regArray.cells is the same one level down: a dense owner-indexed
+//     slot directory. Slots are created in geometric blocks, so a
+//     directory copy happens once per doubling, not once per owner.
 //   - a cellSlot holds an atomic pointer to an immutable cellVal. A merge
 //     is a CAS on that pointer guarded by the writer version: higher
 //     sequence numbers win, exactly the versioning rule the mutex-guarded
@@ -77,12 +77,30 @@ type regArray struct {
 	snap    atomic.Pointer[snapshot]
 }
 
-// cellDir is the immutable published owner → slot directory of one array.
-type cellDir = map[rt.ProcID]*cellSlot
+// MaxOwners bounds the entry owners a server stores. Owners are
+// participant ids, dense in [0, k), and they index the cell directory
+// directly, so an owner is also an allocation size: without a bound one
+// hostile propagate with owner wire.MaxID would allocate a 16 GiB
+// directory. A propagate carrying any owner at or above MaxOwners is
+// refused whole with a busy reply, before admission, so it merges nothing
+// and creates no election instance (see Server.Handle). The bound leaves
+// room for elections far larger than any quorum deployment runs, and caps
+// one array's directory at 256 KiB.
+const MaxOwners = 1 << 14
+
+// minCellDir is the smallest directory an array publishes. Growth doubles
+// from it until the directory covers the owner, so an array only
+// low-numbered participants write stays small.
+const minCellDir = 4
+
+// cellDir is the immutable published owner-indexed slot directory of one
+// array: every index holds that owner's permanent slot.
+type cellDir = []*cellSlot
 
 // cellSlot is one owner's cell: an atomic pointer to the immutable
-// current value. The slot itself is permanent once published in a
-// cellDir; only the value pointer moves.
+// current value, nil until the owner's first merge. The slot itself is
+// permanent once published in a cellDir — growth copies slot pointers,
+// never slots — and only the value pointer moves.
 type cellSlot struct {
 	v atomic.Pointer[cellVal]
 }
@@ -103,14 +121,6 @@ type snapshot struct {
 	enc     []byte
 }
 
-// newRegArray builds an array with an empty published cell directory.
-func (st *store) newRegArray() *regArray {
-	arr := &regArray{}
-	dir := cellDir{}
-	arr.cells.Store(&dir)
-	return arr
-}
-
 // array returns the register array for reg, creating and publishing it on
 // first use. Lock-free: creation copies the directory and CASes the
 // pointer, retrying if a concurrent creator won (and adopting its array).
@@ -124,7 +134,7 @@ func (st *store) array(reg string) *regArray {
 		for k, v := range *dirp {
 			next[k] = v
 		}
-		arr := st.newRegArray()
+		arr := &regArray{}
 		next[reg] = arr
 		if st.regs.CompareAndSwap(dirp, &next) {
 			return arr
@@ -132,22 +142,42 @@ func (st *store) array(reg string) *regArray {
 	}
 }
 
-// slot returns owner's cell slot of arr, creating and publishing it on
-// first use, with the same copy-and-CAS discipline as store.array.
+// dir returns arr's published cell directory; nil (empty) until the
+// first merge.
+func (arr *regArray) dir() cellDir {
+	if dirp := arr.cells.Load(); dirp != nil {
+		return *dirp
+	}
+	return nil
+}
+
+// slot returns owner's cell slot of arr, for 0 ≤ owner < MaxOwners. When
+// owner is past the directory it grows it with the same copy-and-CAS
+// discipline as store.array: the size doubles (from minCellDir) until it
+// covers owner, the old slot pointers are copied and one block of fresh
+// slots fills the rest.
 func (arr *regArray) slot(owner rt.ProcID) *cellSlot {
 	for {
 		dirp := arr.cells.Load()
-		if s := (*dirp)[owner]; s != nil {
-			return s
+		var cur cellDir
+		if dirp != nil {
+			cur = *dirp
 		}
-		next := make(cellDir, len(*dirp)+1)
-		for k, v := range *dirp {
-			next[k] = v
+		if int(owner) < len(cur) {
+			return cur[owner]
 		}
-		s := &cellSlot{}
-		next[owner] = s
+		size := max(2*len(cur), minCellDir)
+		for size <= int(owner) {
+			size *= 2
+		}
+		next := make(cellDir, size)
+		copy(next, cur)
+		fresh := make([]cellSlot, size-len(cur))
+		for i := range fresh {
+			next[len(cur)+i] = &fresh[i]
+		}
 		if arr.cells.CompareAndSwap(dirp, &next) {
-			return s
+			return next[owner]
 		}
 	}
 }
@@ -214,14 +244,22 @@ func (st *store) snapshotTail(reg string) (tail []byte, hit bool) {
 // rather than corrupting the stream.
 func (arr *regArray) rebuild(reg string, ver uint64) *snapshot {
 	old := arr.snap.Load()
-	dirp := arr.cells.Load()
-	out := make([]rt.Entry, 0, len(*dirp))
-	for owner, s := range *dirp {
-		if cv := s.v.Load(); cv != nil {
-			out = append(out, rt.Entry{Reg: reg, Owner: owner, Seq: cv.seq, Val: cv.val})
+	dir := arr.dir()
+	// Size the entries by the occupied slots, not the directory: a slot
+	// filled between the two passes just costs an append. Walking the
+	// directory in index order yields the owner order directly.
+	n := 0
+	for _, s := range dir {
+		if s.v.Load() != nil {
+			n++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
+	out := make([]rt.Entry, 0, n)
+	for owner, s := range dir {
+		if cv := s.v.Load(); cv != nil {
+			out = append(out, rt.Entry{Reg: reg, Owner: rt.ProcID(owner), Seq: cv.seq, Val: cv.val})
+		}
+	}
 	snap := &snapshot{ver: ver, entries: out}
 	if len(out) > 0 {
 		enc, err := wire.AppendEntries(nil, reg, out)

@@ -382,6 +382,26 @@ func appendValue(dst []byte, v rt.Value) ([]byte, error) {
 // decoder consumes one frame body.
 type decoder struct {
 	b []byte
+
+	// ids is the unused tail of the message's status-list slab: the
+	// non-empty ℓ lists of one message are carved from shared arrays
+	// instead of one allocation each. left counts the entries not yet
+	// decoded, including the current one, which sizes the next slab.
+	ids  []rt.ProcID
+	left int
+}
+
+// idList returns a fresh list of count ids carved from the slab, growing
+// it when the tail is short. A new slab guesses that every remaining
+// entry carries a list as long as this one, capped by the bytes left (an
+// id takes at least one); a short guess just costs another slab.
+func (d *decoder) idList(count int) []rt.ProcID {
+	if len(d.ids) < count {
+		d.ids = make([]rt.ProcID, min(count*max(d.left, 1), len(d.b)))
+	}
+	l := d.ids[:count:count]
+	d.ids = d.ids[count:]
+	return l
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -430,16 +450,22 @@ func (d *decoder) byte() (byte, error) {
 }
 
 func (d *decoder) string() (string, error) {
+	b, err := d.stringBytes()
+	return string(b), err
+}
+
+// stringBytes decodes a length-prefixed byte string, aliasing the input.
+func (d *decoder) stringBytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(d.b)) {
-		return "", fmt.Errorf("wire: string length %d exceeds remaining %d bytes", n, len(d.b))
+		return nil, fmt.Errorf("wire: string length %d exceeds remaining %d bytes", n, len(d.b))
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
-	return s, nil
+	return b, nil
 }
 
 func (d *decoder) value() (rt.Value, error) {
@@ -479,16 +505,16 @@ func (d *decoder) value() (rt.Value, error) {
 		if count > uint64(len(d.b)) { // every id takes ≥1 byte
 			return nil, fmt.Errorf("wire: status list count %d exceeds remaining %d bytes", count, len(d.b))
 		}
-		st := core.Status{Stat: core.StatKind(stat)}
-		if count > 0 {
-			st.List = make([]rt.ProcID, count)
-			for i := range st.List {
-				id, err := d.procID()
-				if err != nil {
-					return nil, err
-				}
-				st.List[i] = id
+		if count == 0 {
+			return nilListStatus[stat], nil
+		}
+		st := core.Status{Stat: core.StatKind(stat), List: d.idList(int(count))}
+		for i := range st.List {
+			id, err := d.procID()
+			if err != nil {
+				return nil, err
 			}
+			st.List[i] = id
 		}
 		return st, nil
 	case vNameSet:
@@ -551,9 +577,11 @@ func (m *Msg) decode(body []byte) error {
 		return err
 	}
 	m.From = from
-	if m.Reg, err = d.string(); err != nil {
+	reg, err := d.stringBytes()
+	if err != nil {
 		return err
 	}
+	m.Reg = intern(reg)
 	if m.Kind == KindPropagate || m.Kind == KindView {
 		count, err := d.uvarint()
 		if err != nil {
@@ -572,6 +600,7 @@ func (m *Msg) decode(body []byte) error {
 				m.Entries = make([]rt.Entry, count)
 			}
 			for i := range m.Entries {
+				d.left = len(m.Entries) - i
 				owner, err := d.procID()
 				if err != nil {
 					return err
@@ -718,7 +747,9 @@ func PeekReply(body []byte) (k Kind, call uint64, ok bool) {
 // PeekReplyFrom additionally extracts the replying server's id — what a
 // fault-injecting reply filter needs to sample per-link loss on the reply
 // direction, and what reply dedup under retransmission keys on. Same
-// contract as PeekReply: header parse only, no canonicality check.
+// contract as PeekReply — header parse only, no canonicality check — but
+// the id is bounded as the decoder bounds it: ok is false for a sender id
+// above MaxID.
 func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 	if len(body) == 0 {
 		return 0, 0, 0, false
@@ -735,7 +766,7 @@ func PeekReplyFrom(body []byte) (k Kind, call uint64, from rt.ProcID, ok bool) {
 		return k, call, 0, false
 	}
 	f, n := binary.Uvarint(rest[n:])
-	if n <= 0 {
+	if n <= 0 || f > MaxID {
 		return k, call, 0, false
 	}
 	return k, call, rt.ProcID(f), true

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -372,4 +373,44 @@ func ExampleMsg_WireSize() {
 	frame, _ := Encode(m)
 	fmt.Println(m.WireSize(), len(frame))
 	// Output: 5 6
+}
+
+// TestPeekReplyFromBoundsSender: the pre-decode header peek bounds the
+// sender id like the decoder does, so a corrupt header can never hand a
+// negative or overflowed rt.ProcID to the reply router.
+func TestPeekReplyFromBoundsSender(t *testing.T) {
+	header := func(from uint64) []byte {
+		b := []byte{byte(KindAck)}
+		b = binary.AppendUvarint(b, 5) // election
+		b = binary.AppendUvarint(b, 9) // call
+		return binary.AppendUvarint(b, from)
+	}
+	cases := []struct {
+		name   string
+		body   []byte
+		wantOK bool
+		from   rt.ProcID
+	}{
+		{"zero", header(0), true, 0},
+		{"small", header(300), true, 300},
+		{"max id", header(MaxID), true, MaxID},
+		{"max id + 1", header(MaxID + 1), false, 0},
+		{"int64 wrap", header(1 << 63), false, 0},
+		{"max uint64", header(^uint64(0)), false, 0},
+		{"truncated sender", header(300)[:4], false, 0},
+		{"overlong sender", append(header(0)[:3], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), false, 0},
+		{"empty", nil, false, 0},
+	}
+	for _, c := range cases {
+		k, call, from, ok := PeekReplyFrom(c.body)
+		if ok != c.wantOK {
+			t.Fatalf("%s: ok = %v, want %v", c.name, ok, c.wantOK)
+		}
+		if !ok {
+			continue
+		}
+		if k != KindAck || call != 9 || from != c.from {
+			t.Fatalf("%s: got kind %v call %d from %d, want ack 9 %d", c.name, k, call, from, c.from)
+		}
+	}
 }
